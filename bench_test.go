@@ -9,6 +9,7 @@
 package rlplanner
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -470,6 +471,37 @@ func BenchmarkAblationThetaGate(b *testing.B) {
 				total += eval.Score(inst, plan)
 			}
 			b.ReportMetric(total/float64(b.N), "score/op")
+		})
+	}
+}
+
+// BenchmarkRecommend8k times Policy.Recommend on an 8192-item geo
+// catalog — above the distance-matrix cap, so every step scans all
+// candidates with chord-screened exact legs — under the generator's
+// unbounded distance budget and under a binding 3 km one, cycling over
+// 64 starts spread evenly over the catalog.
+func BenchmarkRecommend8k(b *testing.B) {
+	inst, err := GenerateInstance(GenParams{Name: "synthetic-8192", Items: 8192, Geo: true, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := inst.Items()
+	for _, tc := range []struct {
+		name  string
+		maxKm float64
+	}{{"unbounded", 0}, {"binding3km", 3}} {
+		b.Run(tc.name, func(b *testing.B) {
+			pol, err := Train(context.Background(), inst, "sarsa", Options{Episodes: 50, Seed: 1, MaxDistanceKm: tc.maxKm})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pol.Recommend(items[(i%64)*len(items)/64].ID); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

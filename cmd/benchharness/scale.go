@@ -18,7 +18,6 @@ import (
 	"github.com/rlplanner/rlplanner/internal/dataset"
 	"github.com/rlplanner/rlplanner/internal/dataset/synth"
 	"github.com/rlplanner/rlplanner/internal/engine"
-	"github.com/rlplanner/rlplanner/internal/geo"
 	"github.com/rlplanner/rlplanner/internal/httpapi"
 	"github.com/rlplanner/rlplanner/internal/mdp"
 )
@@ -53,7 +52,6 @@ type scalePoint struct {
 	TopicsBytes    int     `json:"topics_bytes"`
 	ResidentBytes  int     `json:"resident_bytes"`
 	DenseBytes     int64   `json:"dense_equiv_bytes"`
-	DistFallbacks  uint64  `json:"dist_fallbacks"`
 }
 
 // scaleRecord is the machine-readable scaling record written as
@@ -189,13 +187,11 @@ func scalePointAt(ctx context.Context, n int, cfg scaleConfig) (scalePoint, erro
 	// End-to-end serve: upload the instance spec and the trained
 	// artifact to an in-process HTTP server, then time /api/plan against
 	// the warm policy cache.
-	fb0 := geo.FallbackTotal()
 	p50, err := scaleServe(inst.Name, params, pol, cfg.Serve)
 	if err != nil {
 		return pt, err
 	}
 	pt.ServeP50Ns = p50
-	pt.DistFallbacks = geo.FallbackTotal() - fb0
 	return pt, nil
 }
 

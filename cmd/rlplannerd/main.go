@@ -91,7 +91,7 @@ func main() {
 	overlayCells := flag.Int("overlay-cells", 0,
 		"max personalized action values per user overlay (0 = default)")
 	distMatrixMax := flag.Int("dist-matrix-max", 0,
-		"catalog size up to which an exact distance matrix is precomputed (0 = default 1024); larger trip catalogs use a compressed quantized neighbor store")
+		"catalog size up to which a float32 distance matrix is precomputed (0 = default 1024); larger trip catalogs compute exact Haversine per leg")
 	denseQMax := flag.Int("dense-q-max", 0,
 		"catalog size up to which training allocates a dense n*n Q table (0 = default 4096); larger catalogs learn into a sparse table")
 	policyDir := flag.String("policy-dir", "",

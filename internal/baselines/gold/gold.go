@@ -29,9 +29,7 @@ const maxNodes = 200000
 // distCache serves leg distances from the same tiered distance store
 // the learner's environment uses (geo.NewDistStore), so the gold
 // synthesizer and the MDP measure identical geometry at every catalog
-// size — the old form silently switched representation at the matrix
-// cap without any signal; now the shared store reports its out-of-band
-// recomputations through geo.FallbackTotal (dist_fallback_total).
+// size.
 type distCache struct {
 	store geo.Store
 }

@@ -77,11 +77,12 @@ type Options struct {
 	// count never changes what is learned under the parallel protocol.
 	TrainWorkers int
 	// DistMatrixMax overrides the catalog size up to which the
-	// environment precomputes the exact n×n distance matrix (<= 0 means
-	// geo.DefaultDistMatrixMaxItems) — the -dist-matrix-max operator
-	// knob. Larger trip catalogs get exact per-call Haversine, then the
-	// quantized neighbor store (see geo.NewDistStore). Part of the
-	// environment key: different limits build different geometry.
+	// environment precomputes the float32 n×n distance matrix (<= 0
+	// means geo.DefaultDistMatrixMaxItems) — the -dist-matrix-max
+	// operator knob. Larger trip catalogs get exact per-call Haversine
+	// (see geo.NewDistStore). Part of the environment key: the matrix
+	// rounds to float32, so different limits can build different
+	// geometry.
 	DistMatrixMax int
 	// DenseQMax overrides the catalog size up to which the learned Q
 	// table uses the dense n² representation (<= 0 means
@@ -186,18 +187,21 @@ func BuildEnv(inst *dataset.Instance, opts Options) (*mdp.Env, error) {
 
 // EnvKey returns a canonical key identifying the environment that
 // BuildEnv would construct for (instance, options): the instance kind
-// plus the resolved hard constraints and reward configuration. The key
-// deliberately omits the catalog — callers caching environments across
-// instances must scope it by the catalog fingerprint.
+// plus every field of the resolved hard constraints and reward
+// configuration. The key deliberately omits the catalog and the soft
+// constraints — callers caching environments across instances must
+// scope it by a digest of those (see engine.EnvFor).
 func EnvKey(inst *dataset.Instance, opts Options) (string, error) {
 	hard, rc, err := envConfig(inst, opts)
 	if err != nil {
 		return "", err
 	}
-	// DistMatrixMax is part of the key: the limit selects the distance
-	// representation, so environments built under different limits must
-	// not be shared.
-	return fmt.Sprintf("%d|%+v|%+v|dm%d", inst.Kind, hard, rc, opts.DistMatrixMax), nil
+	// %#v prints every field and ignores String methods, which render
+	// only part of a value (Hard.String omits the credit mode, distance
+	// and theme gap). DistMatrixMax is part of the key: the limit
+	// selects the distance representation, so environments built under
+	// different limits must not be shared.
+	return fmt.Sprintf("%d|%#v|%#v|dm%d", inst.Kind, hard, rc, opts.DistMatrixMax), nil
 }
 
 // NewWithEnv is New with a prebuilt environment — typically one shared

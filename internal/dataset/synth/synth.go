@@ -244,8 +244,7 @@ func id(i int) string { return fmt.Sprintf("S-%03d", i) }
 
 // geoPoint places the i-th item on a clustered city-scale map: eight
 // gaussian neighborhoods inside a ~0.5°×0.5° box around a fixed center,
-// so nearest-neighbor structure exists for the distance store's bands
-// to capture.
+// so short and long legs both occur, as in a real city.
 func geoPoint(rng *rand.Rand, i int) (lat, lon float64) {
 	const centerLat, centerLon = 40.75, -73.98
 	cluster := i % 8

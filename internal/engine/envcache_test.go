@@ -2,12 +2,16 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/core"
+	"github.com/rlplanner/rlplanner/internal/dataset/trip"
 	"github.com/rlplanner/rlplanner/internal/dataset/univ"
+	"github.com/rlplanner/rlplanner/internal/item"
 	"github.com/rlplanner/rlplanner/internal/mdp"
 )
 
@@ -128,5 +132,92 @@ func TestEnvCacheStatsCount(t *testing.T) {
 	if after.Hits != mid.Hits+1 || after.Misses != mid.Misses {
 		t.Fatalf("warm lookup: hits %d -> %d misses %d -> %d, want one hit and no miss",
 			mid.Hits, after.Hits, mid.Misses, after.Misses)
+	}
+}
+
+// TestEnvCacheOrderIndependentPlans is the regression test for an
+// environment-cache key that dropped the distance budget: on NYC, a
+// 1.5 km plan trained after a default one used to be served from the
+// default environment (and the other way round). Each order now runs
+// against an empty cache and must serve the same plans.
+func TestEnvCacheOrderIndependentPlans(t *testing.T) {
+	inst := trip.NYC().Instance
+	def, tight := core.Options{Seed: 1}, core.Options{Seed: 1, MaxDistanceKm: 1.5}
+	saved := envs
+	t.Cleanup(func() { envs = saved })
+	plans := func(order ...core.Options) map[float64][]int {
+		envs = NewStore[*mdp.Env](DefaultEnvCacheSize)
+		out := make(map[float64][]int)
+		for _, opts := range order {
+			env, err := EnvFor(context.Background(), inst, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if km := opts.MaxDistanceKm; km != 0 && env.Hard().MaxDistanceKm != km {
+				t.Fatalf("MaxDistanceKm %v request got an environment with %v", km, env.Hard().MaxDistanceKm)
+			}
+			pol, err := Train(context.Background(), "sarsa", inst, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := pol.Recommend(DefaultStart)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[opts.MaxDistanceKm] = seq
+		}
+		return out
+	}
+	a, b := plans(def, tight), plans(tight, def)
+	for _, km := range []float64{0, 1.5} {
+		if !reflect.DeepEqual(a[km], b[km]) {
+			t.Errorf("MaxDistanceKm %v: plan %v after the other request, %v before it", km, a[km], b[km])
+		}
+	}
+}
+
+// TestEnvForKeysEveryBuildInput: two instances with one Fingerprint but
+// different coordinates, prerequisites, categories or popularity must
+// not share an environment, since core.BuildEnv reads all of them.
+func TestEnvForKeysEveryBuildInput(t *testing.T) {
+	base := trip.NYC().Instance
+	edits := map[string]func(*item.Item){
+		"coordinates": func(m *item.Item) { m.Lat += 0.01 },
+		"prereq":      func(m *item.Item) { m.Prereq = nil },
+		"category":    func(m *item.Item) { m.Category = item.NoCategory },
+		"popularity":  func(m *item.Item) { m.Popularity /= 2 },
+	}
+	want, err := EnvFor(context.Background(), base, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range edits {
+		items := make([]item.Item, base.Catalog.Len())
+		changed := false
+		for i := range items {
+			items[i] = base.Catalog.At(i)
+			before := fmt.Sprint(items[i])
+			edit(&items[i])
+			changed = changed || fmt.Sprint(items[i]) != before
+		}
+		if !changed {
+			t.Fatalf("%s: edit changed no item", name)
+		}
+		cat, err := item.NewCatalog(base.Catalog.Vocabulary(), items)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		inst := *base
+		inst.Catalog = cat
+		if Fingerprint(&inst) != Fingerprint(base) {
+			t.Fatalf("%s: edit changed the artifact fingerprint", name)
+		}
+		got, err := EnvFor(context.Background(), &inst, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got == want {
+			t.Errorf("%s: edited instance shares the original's environment", name)
+		}
 	}
 }

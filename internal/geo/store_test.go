@@ -22,8 +22,8 @@ func randomCity(rng *rand.Rand, n int) []Point {
 }
 
 // TestNewDistStoreTiers pins representation selection by catalog size:
-// exact matrix below the matrix cap, exact per-call Haversine through
-// the dense threshold, quantized neighbor bands beyond.
+// the float32 matrix up to the matrix cap, exact per-call Haversine
+// beyond it at every size.
 func TestNewDistStoreTiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, ok := NewDistStore(randomCity(rng, 50), 0).(*DistMatrix); !ok {
@@ -32,18 +32,14 @@ func TestNewDistStoreTiers(t *testing.T) {
 	if _, ok := NewDistStore(randomCity(rng, 50), 10).(HaversineStore); !ok {
 		t.Error("catalog above an explicit matrix cap should use per-call Haversine")
 	}
-	big := make([]Point, DefaultExactHaversineMaxItems+1)
-	for i := range big {
-		big[i] = Point{Lat: float64(i%100) * 0.001, Lon: float64(i/100) * 0.001}
-	}
-	if _, ok := NewDistStore(big, 0).(*NeighborStore); !ok {
-		t.Error("catalog above the exact threshold should use the neighbor store")
+	if _, ok := NewDistStore(randomCity(rng, 8192), 0).(HaversineStore); !ok {
+		t.Error("catalog far above the default matrix cap should use per-call Haversine")
 	}
 }
 
-// TestExactTiersMatchHaversine pins bit-exactness of the sub-threshold
-// tiers: the matrix stores float32 (the historical representation, a
-// documented rounding), the mid tier is the very same Haversine call.
+// TestExactTiersMatchHaversine pins bit-exactness of the per-call tier:
+// it is the very same Haversine call (the matrix stores float32, a
+// documented rounding).
 func TestExactTiersMatchHaversine(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts := randomCity(rng, 60)
@@ -56,153 +52,17 @@ func TestExactTiersMatchHaversine(t *testing.T) {
 	}
 }
 
-// TestNeighborStoreErrorBound is the quantization accuracy property:
-// every banded distance is within one bucket of the exact Haversine,
-// and out-of-band distances are exact (they are the same computation).
-func TestNeighborStoreErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := randomCity(rng, 800)
-	s := NewNeighborStore(pts, 16)
-	bucket := s.BucketKm()
-	if bucket <= 0 {
-		t.Fatalf("BucketKm = %v", bucket)
-	}
-	banded, checked := 0, 0
-	for trial := 0; trial < 20000; trial++ {
-		i, j := rng.Intn(len(pts)), rng.Intn(len(pts))
-		exact := Haversine(pts[i], pts[j])
-		got := s.Dist(i, j)
-		checked++
-		if s.InBand(i, j) {
-			banded++
-			if diff := got - exact; diff > bucket || diff < -bucket {
-				t.Fatalf("banded Dist(%d,%d) = %v, exact %v: error %v exceeds one bucket %v",
-					i, j, got, exact, diff, bucket)
-			}
-		} else if got != exact {
-			t.Fatalf("out-of-band Dist(%d,%d) = %v, want exact %v", i, j, got, exact)
-		}
-	}
-	if banded == 0 {
-		t.Fatal("no banded pair sampled; the store stored nothing")
-	}
-	t.Logf("checked %d pairs, %d banded", checked, banded)
-}
-
-// TestNeighborStoreSymmetry: the band is symmetrized at build time, so
-// Dist(i,j) == Dist(j,i) whether the pair is banded or not.
-func TestNeighborStoreSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := randomCity(rng, 500)
-	s := NewNeighborStore(pts, 8)
-	for trial := 0; trial < 5000; trial++ {
-		i, j := rng.Intn(len(pts)), rng.Intn(len(pts))
-		if s.Dist(i, j) != s.Dist(j, i) {
-			t.Fatalf("Dist(%d,%d) != Dist(%d,%d)", i, j, j, i)
-		}
-		if s.InBand(i, j) != s.InBand(j, i) {
-			t.Fatalf("band membership asymmetric for (%d,%d)", i, j)
-		}
-	}
-	for i := 0; i < len(pts); i++ {
-		if d := s.Dist(i, i); d != 0 {
-			t.Fatalf("Dist(%d,%d) = %v, want 0", i, i, d)
-		}
-	}
-}
-
-// TestNeighborStoreNearNeighborsBanded: the band must actually contain
-// each point's closest companions — that is its whole purpose; a store
-// that banded arbitrary pairs would fall back on every constrained leg.
-func TestNeighborStoreNearNeighborsBanded(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := randomCity(rng, 400)
-	const k = 12
-	s := NewNeighborStore(pts, k)
-	misses := 0
-	for i := range pts {
-		// Exact nearest neighbor by brute force.
-		best, bd := -1, 0.0
-		for j := range pts {
-			if j == i {
-				continue
-			}
-			if d := Haversine(pts[i], pts[j]); best < 0 || d < bd {
-				best, bd = j, d
-			}
-		}
-		if !s.InBand(i, best) {
-			misses++
-		}
-	}
-	// The grid search is approximate; allow a small miss rate but not a
-	// broken band.
-	if misses > len(pts)/20 {
-		t.Fatalf("%d/%d points miss their exact nearest neighbor in the band", misses, len(pts))
-	}
-}
-
-// TestFallbackCounter: out-of-band lookups increment the shared
-// counter; banded lookups do not.
+// TestFallbackCounter: every store is exact, so no lookup on any tier
+// counts a fallback.
 func TestFallbackCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := randomCity(rng, 300)
-	s := NewNeighborStore(pts, 4)
-	var in, out [2]int
-	for trial := 0; trial < 2000; trial++ {
-		i, j := rng.Intn(len(pts)), rng.Intn(len(pts))
-		if i == j {
-			continue
+	for _, s := range []Store{NewDistStore(pts, 0), NewDistStore(pts, 10)} {
+		for trial := 0; trial < 200; trial++ {
+			s.Dist(rng.Intn(len(pts)), rng.Intn(len(pts)))
 		}
-		k := 0
-		if !s.InBand(i, j) {
-			k = 1
-		}
-		before := FallbackTotal()
-		s.Dist(i, j)
-		in[k] += int(FallbackTotal() - before)
-		out[k]++
 	}
-	if in[0] != 0 {
-		t.Fatalf("banded lookups bumped the fallback counter %d times", in[0])
-	}
-	if out[1] > 0 && in[1] != out[1] {
-		t.Fatalf("out-of-band lookups counted %d of %d", in[1], out[1])
-	}
-}
-
-// TestNeighborStoreMemory: the band must stay linear in n·K — the
-// memory claim behind replacing the n² matrix.
-func TestNeighborStoreMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 5000
-	pts := randomCity(rng, n)
-	s := NewNeighborStore(pts, DefaultNeighborK)
-	matrix := 4 * n * n // what NewDistMatrix would cost
-	if got := s.SizeBytes(); got >= matrix/4 {
-		t.Fatalf("NeighborStore.SizeBytes = %d, want far below matrix %d", got, matrix)
-	}
-}
-
-// TestNeighborStoreDegenerate covers the edge catalogs: empty, single
-// point, and all points coincident.
-func TestNeighborStoreDegenerate(t *testing.T) {
-	if s := NewNeighborStore(nil, 4); s.Len() != 0 {
-		t.Fatal("empty store")
-	}
-	one := NewNeighborStore([]Point{{Lat: 1, Lon: 2}}, 4)
-	if d := one.Dist(0, 0); d != 0 {
-		t.Fatalf("single-point Dist = %v", d)
-	}
-	same := make([]Point, 50)
-	for i := range same {
-		same[i] = Point{Lat: 10, Lon: 20}
-	}
-	s := NewNeighborStore(same, 4)
-	for trial := 0; trial < 100; trial++ {
-		i, j := trial%50, (trial*7)%50
-		if d := s.Dist(i, j); d != 0 {
-			t.Fatalf("coincident Dist(%d,%d) = %v", i, j, d)
-		}
+	if got := FallbackTotal(); got != 0 {
+		t.Fatalf("FallbackTotal = %d, want 0", got)
 	}
 }

@@ -88,7 +88,7 @@ type Server struct {
 	// knobs, applied to every training run, not part of any cache key.
 	distMatrixMax int
 	denseQMax     int
-	metrics    resilience.Metrics
+	metrics       resilience.Metrics
 
 	// overlays holds the per-(user, policy) personalization overlays —
 	// the serving half of the layered-read design. overlayBudget and
@@ -185,11 +185,10 @@ func WithOverlayCells(n int) Option {
 	return func(s *Server) { s.overlayCells = n }
 }
 
-// WithDistMatrixMax bounds the catalog size that precomputes an exact
-// n×n distance matrix (n <= 0 keeps geo.DefaultDistMatrixMaxItems,
-// 1024). Larger trip catalogs serve exact per-call Haversine up to 4096
-// items and a quantized neighbor store beyond; out-of-band lookups are
-// counted by the dist_fallback_total metric.
+// WithDistMatrixMax bounds the catalog size that precomputes the
+// float32 n×n distance matrix (n <= 0 keeps
+// geo.DefaultDistMatrixMaxItems, 1024). Larger trip catalogs compute
+// exact Haversine per leg, screened by unit-vector chords.
 func WithDistMatrixMax(n int) Option {
 	return func(s *Server) {
 		if n < 0 {

@@ -16,7 +16,6 @@ import (
 
 	"github.com/rlplanner/rlplanner"
 	"github.com/rlplanner/rlplanner/internal/engine"
-	"github.com/rlplanner/rlplanner/internal/geo"
 	"github.com/rlplanner/rlplanner/internal/resilience"
 )
 
@@ -245,11 +244,6 @@ func (s *Server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	m["overlay_bytes"] = int64(bytes)
 	m["overlay_evictions"] = int64(evictions)
 	m["feedback_signals"] = int64(s.feedbackSignals.Load())
-	// Distance-accuracy observability: how many leg lookups missed the
-	// compressed neighbor band and recomputed an exact Haversine. A
-	// rapidly growing figure means the band (geo.DefaultNeighborK) is too
-	// narrow for this catalog's plan geometry.
-	m["dist_fallback_total"] = int64(geo.FallbackTotal())
 	// Durable-tier observability: repository lookups/write-throughs, the
 	// entries quarantined as corrupt (boot scan or read path), and how
 	// often this replica waited on another process's training claim. All

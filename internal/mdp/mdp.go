@@ -21,6 +21,7 @@ import (
 	"github.com/rlplanner/rlplanner/internal/item"
 	"github.com/rlplanner/rlplanner/internal/prereq"
 	"github.com/rlplanner/rlplanner/internal/reward"
+	"github.com/rlplanner/rlplanner/internal/seqsim"
 )
 
 // Budget decides when a trajectory ends (the H of §III-A).
@@ -74,10 +75,10 @@ func (b TimeBudget) Allows(credits float64, count int, itemCredits float64) bool
 // engines with different limits no longer race on a global.)
 type Limits struct {
 	// DistMatrixMax is the catalog size up to which the environment
-	// precomputes the exact n×n distance matrix (<= 0 means
+	// precomputes the float32 n×n distance matrix (<= 0 means
 	// geo.DefaultDistMatrixMaxItems). Larger trip catalogs get exact
-	// per-call Haversine up to geo.DefaultExactHaversineMaxItems and the
-	// quantized neighbor store beyond (see geo.NewDistStore).
+	// per-call Haversine, screened by unit-vector chords (see
+	// geo.NewDistStore and geo.LegBounds).
 	DistMatrixMax int
 }
 
@@ -122,15 +123,20 @@ type Env struct {
 	// dist is nil (no distance constraint active).
 	pts []geo.Point
 	// dist is the pairwise distance store, non-nil only when
-	// hard.MaxDistanceKm > 0: the exact matrix for small catalogs, exact
-	// per-call Haversine mid-range, quantized neighbor bands at scale
-	// (geo.NewDistStore selects by size and Limits.DistMatrixMax).
+	// hard.MaxDistanceKm > 0: the float32 matrix for small catalogs,
+	// exact per-call Haversine above Limits.DistMatrixMax (see
+	// geo.NewDistStore).
 	dist geo.Store
 	// distMat aliases dist when the store is the exact matrix, so the
 	// per-candidate leg lookup in CanStep is a direct, inlinable call
 	// instead of interface dispatch — the matrix tier is exactly the
 	// catalog range where that lookup dominates the step profile.
 	distMat *geo.DistMatrix
+	// units holds every item's unit vector when dist is not the matrix,
+	// so CanStep screens a leg against the remaining budget by its
+	// squared chord and evaluates Haversine only for legs too close to
+	// the limit to call (see geo.LegBounds).
+	units []geo.Unit
 	// prereqs are the compiled prerequisite programs + reverse dependencies.
 	prereqs *prereq.Compiled
 	// prereqInit[i] is item i's prerequisite status with nothing placed —
@@ -202,6 +208,12 @@ func NewEnvWithLimits(c *item.Catalog, hard constraints.Hard, soft constraints.S
 	if hard.MaxDistanceKm > 0 {
 		e.dist = geo.NewDistStore(e.pts, lim.DistMatrixMax)
 		e.distMat, _ = e.dist.(*geo.DistMatrix)
+		if e.distMat == nil {
+			e.units = make([]geo.Unit, n)
+			for i, p := range e.pts {
+				e.units[i] = geo.ToUnit(p)
+			}
+		}
 	}
 	compiled, err := prereq.Compile(exprs, c.Index)
 	if err != nil {
@@ -241,13 +253,14 @@ func (e *Env) Dist(i, j int) float64 {
 }
 
 // DistStoreBytes reports the resident bytes of the active distance store
-// (0 when no distance constraint is active) — the memory-accounting hook
-// the engine's cache budgeting and the scale harness read.
+// and its unit vectors (0 when no distance constraint is active) — the
+// memory-accounting hook the engine's cache budgeting and the scale
+// harness read.
 func (e *Env) DistStoreBytes() int {
 	if e.dist == nil {
 		return 0
 	}
-	return e.dist.SizeBytes()
+	return e.dist.SizeBytes() + 24*len(e.units)
 }
 
 // Catalog returns the environment's item catalog.
@@ -298,6 +311,15 @@ type Episode struct {
 	candTypes []item.Type
 	// scratch is the reusable Transition TransitionScratch hands out.
 	scratch reward.Transition
+	// legIn and legOut are the squared-chord bounds of the remaining
+	// distance budget (geo.LegBounds), set in admit when the Env screens
+	// legs by unit vectors.
+	legIn, legOut float64
+	// sim caches Sim_agg of the candidate type sequence per candidate
+	// type for the current step; simSet flags the valid entries (bit t
+	// for type t) and admit clears it.
+	sim    [2]float64
+	simSet uint8
 }
 
 // Start begins an episode at the given item (state s_1 of Algorithm 1).
@@ -414,6 +436,11 @@ func (ep *Episode) admit(idx int) {
 	}
 	ep.candTypes = ep.candTypes[:n+1]
 	copy(ep.candTypes, ep.seqTypes)
+	ep.simSet = 0
+
+	if ep.env.units != nil {
+		ep.legIn, ep.legOut = geo.LegBounds(ep.distance, ep.env.hard.MaxDistanceKm)
+	}
 }
 
 // Len returns the number of items in the trajectory so far.
@@ -452,6 +479,14 @@ func (ep *Episode) CanStep(idx int) bool {
 		return false
 	}
 	if d := ep.env.hard.MaxDistanceKm; d > 0 {
+		if u := ep.env.units; u != nil {
+			switch c2 := geo.Chord2(&u[ep.Last()], &u[idx]); {
+			case c2 < ep.legIn:
+				return true
+			case c2 > ep.legOut:
+				return false
+			}
+		}
 		if ep.distance+ep.env.Dist(ep.Last(), idx) > d {
 			return false
 		}
@@ -485,12 +520,6 @@ func (ep *Episode) Candidates() []int { return ep.AppendCandidates(nil) }
 // CanStep(idx).
 func (ep *Episode) TransitionScratch(idx int) *reward.Transition {
 	f := &ep.env.facts[idx]
-	themeOK := true
-	if ep.env.hard.ThemeGap && len(ep.seq) > 0 {
-		if f.category != item.NoCategory && f.category == ep.env.facts[ep.Last()].category {
-			themeOK = false
-		}
-	}
 	ep.candTypes[len(ep.seqTypes)] = f.typ
 	ep.scratch = reward.Transition{
 		SeqTypes: ep.candTypes,
@@ -499,12 +528,19 @@ func (ep *Episode) TransitionScratch(idx int) *reward.Transition {
 		CoverageGain: bitset.CountDifference(&f.idealTopics, &ep.current),
 		IdealSize:    ep.env.idealSize,
 		PrereqOK:     ep.prereqOK[idx],
-		ThemeOK:      themeOK,
+		ThemeOK:      ep.themeOK(f),
 		Type:         f.typ,
 		Category:     f.category,
 		Popularity:   f.popularity,
 	}
 	return &ep.scratch
+}
+
+// themeOK applies the trip theme-gap rule to a candidate: false when it
+// repeats the category of the item just placed.
+func (ep *Episode) themeOK(f *itemFacts) bool {
+	return !ep.env.hard.ThemeGap || len(ep.seq) == 0 || f.category == item.NoCategory ||
+		f.category != ep.env.facts[ep.Last()].category
 }
 
 // Transition computes the Equation 2 facts for adding item idx without
@@ -517,9 +553,38 @@ func (ep *Episode) Transition(idx int) reward.Transition {
 }
 
 // Reward returns R(s_i, e, s_{i+1}) for adding item idx, without stepping.
-// It evaluates through the scratch transition, so it allocates nothing.
+// A closed θ gate returns 0 before any similarity work, and Sim_agg —
+// which within one step depends only on the candidate's type — is
+// computed once per type per step. It allocates nothing.
 func (ep *Episode) Reward(idx int) float64 {
-	return ep.env.reward.Reward(*ep.TransitionScratch(idx))
+	f := &ep.env.facts[idx]
+	rc := &ep.env.reward
+	// θ = r1·r2 (Config.Theta) straight from the facts, so a closed gate
+	// costs no transition and no similarity.
+	theta := rc.R1(bitset.CountDifference(&f.idealTopics, &ep.current), ep.env.idealSize) *
+		rc.R2(ep.prereqOK[idx], ep.themeOK(f))
+	if theta == 0 && !rc.SoftGate {
+		return 0
+	}
+	tr := reward.Transition{Type: f.typ, Category: f.category, Popularity: f.popularity}
+	return rc.RewardWithSim(tr, theta, ep.candidateSim(f.typ))
+}
+
+// candidateSim returns Sim_agg of the type sequence after appending a
+// candidate of type t, from the per-step cache when it holds one. Types
+// beyond primary and secondary are computed every time.
+func (ep *Episode) candidateSim(t item.Type) float64 {
+	cached := int(t) < len(ep.sim)
+	if cached && ep.simSet&(1<<t) != 0 {
+		return ep.sim[t]
+	}
+	ep.candTypes[len(ep.seqTypes)] = t
+	sim := seqsim.Aggregate(ep.env.reward.Sim, ep.candTypes, ep.env.reward.Template)
+	if cached {
+		ep.sim[t] = sim
+		ep.simSet |= 1 << t
+	}
+	return sim
 }
 
 // Step adds item idx to the trajectory and returns its reward. It panics

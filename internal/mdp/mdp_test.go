@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"github.com/rlplanner/rlplanner/internal/bitset"
+	"github.com/rlplanner/rlplanner/internal/core"
+	"github.com/rlplanner/rlplanner/internal/dataset/synth"
 	"github.com/rlplanner/rlplanner/internal/fixture"
 	"github.com/rlplanner/rlplanner/internal/geo"
 	"github.com/rlplanner/rlplanner/internal/item"
@@ -84,12 +86,13 @@ func TestPaperRewardExampleM2ToM4VsM5(t *testing.T) {
 	if trM4.CoverageGain < 1 {
 		t.Fatalf("m4 coverage gain = %d, want ≥ 1", trM4.CoverageGain)
 	}
-	if env.RewardConfig().R1(trM4.CoverageGain, trM4.IdealSize) != 1 {
+	rc := env.RewardConfig()
+	if rc.R1(trM4.CoverageGain, trM4.IdealSize) != 1 {
 		t.Fatal("r1(m4) should be 1")
 	}
 
 	trM5 := ep.Transition(idx(t, c, "Big Data"))
-	if env.RewardConfig().R1(trM5.CoverageGain, trM5.IdealSize) != 0 {
+	if rc.R1(trM5.CoverageGain, trM5.IdealSize) != 0 {
 		t.Fatalf("r1(m5) should be 0, coverage gain = %d", trM5.CoverageGain)
 	}
 	// m5's reward is zero regardless of its prerequisite state.
@@ -459,6 +462,128 @@ func TestCandidatesExcludeChosen(t *testing.T) {
 	for _, i := range cands {
 		if i == 0 {
 			t.Fatal("start item among candidates")
+		}
+	}
+}
+
+// TestCanStepChordMatchesExactHaversine walks random episodes over a
+// 5000-item geo catalog — above the matrix cap, so CanStep screens legs
+// by unit-vector chords — under a binding 3 km budget, and at every
+// step compares CanStep for every item against the exact expression
+// distance + Haversine(last, idx) > d.
+func TestCanStepChordMatchesExactHaversine(t *testing.T) {
+	const d = 3.0
+	inst, err := synth.Generate(synth.Params{Items: 5000, Geo: true, MaxDistanceKm: d, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := core.BuildEnv(inst, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := env.Catalog()
+	pts := make([]geo.Point, c.Len())
+	for i := range pts {
+		pts[i] = geo.Point{Lat: c.At(i).Lat, Lon: c.At(i).Lon}
+	}
+	rng := rand.New(rand.NewSource(9))
+	var legsOver, admitted int
+	for walk := 0; walk < 12; walk++ {
+		ep, err := env.Start(rng.Intn(c.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chosen := map[int]bool{ep.Last(): true}
+		for !ep.Done() {
+			var cands []int
+			for i := range pts {
+				want := !chosen[i] && env.Budget().Allows(ep.Credits(), ep.Len(), c.At(i).Credits)
+				if want && ep.Distance()+geo.Haversine(pts[ep.Last()], pts[i]) > d {
+					want = false
+					legsOver++
+				}
+				if got := ep.CanStep(i); got != want {
+					t.Fatalf("walk %d step %d item %d: CanStep %v, exact %v (walked %v km, leg %v km)",
+						walk, ep.Len(), i, got, want, ep.Distance(), geo.Haversine(pts[ep.Last()], pts[i]))
+				}
+				if want {
+					cands = append(cands, i)
+				}
+			}
+			if len(cands) == 0 {
+				break
+			}
+			admitted += len(cands)
+			next := cands[rng.Intn(len(cands))]
+			chosen[next] = true
+			ep.Step(next)
+		}
+	}
+	if legsOver == 0 || admitted == 0 {
+		t.Fatalf("budget never bound: %d legs over, %d admitted", legsOver, admitted)
+	}
+}
+
+// TestRewardMatchesTransitionReward pins Episode.Reward — which skips
+// the similarity on a closed gate and caches it per candidate type per
+// step — bit for bit to Equation 2 over the full transition, for every
+// similarity mode and the soft gate, with candidates visited in random
+// order and TransitionScratch calls interleaved, on the course fixture
+// and on a copy with a third of its items of a type the cache does not
+// hold.
+func TestRewardMatchesTransitionReward(t *testing.T) {
+	base := courseEnv(t).RewardConfig()
+	courses := fixture.Courses()
+	items := make([]item.Item, courses.Len())
+	for i := range items {
+		items[i] = courses.At(i)
+		if i%3 == 0 {
+			items[i].Type = item.Secondary + 1
+		}
+	}
+	retyped, err := item.NewCatalog(courses.Vocabulary(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, mod := range []func(*reward.Config){
+		func(*reward.Config) {},
+		func(rc *reward.Config) { rc.Sim = seqsim.Minimum },
+		func(rc *reward.Config) { rc.Sim = seqsim.LevenshteinAverage },
+		func(rc *reward.Config) { rc.SoftGate = true },
+		func(rc *reward.Config) { rc.Epsilon = 0.01 },
+	} {
+		rw := base
+		mod(&rw)
+		cat := courses
+		if ci%2 == 1 {
+			cat = retyped
+		}
+		env, err := mdp.NewEnv(cat, fixture.CourseHard(), fixture.CourseSoft(), rw, mdp.CountBudget{H: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for walk := 0; walk < 20; walk++ {
+			ep, err := env.Start(rng.Intn(env.NumItems()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !ep.Done() {
+				cands := ep.Candidates()
+				if len(cands) == 0 {
+					break
+				}
+				for _, i := range rng.Perm(len(cands)) {
+					a := cands[i]
+					want := rw.Reward(ep.Transition(a))
+					ep.TransitionScratch(cands[rng.Intn(len(cands))])
+					if got := ep.Reward(a); got != want {
+						t.Fatalf("%+v walk %d len %d item %d: Reward %v, Eq. 2 over the transition %v",
+							rw, walk, ep.Len(), a, got, want)
+					}
+				}
+				ep.Step(cands[rng.Intn(len(cands))])
+			}
 		}
 	}
 }

@@ -91,7 +91,7 @@ const SoftGatePenalty = 2.0
 // break Theorem 1's Case II premise (Table IX tries w1/w2 = 0.4/0.6 and
 // 0.5/0.5 and observes degraded or zero scores); use
 // SatisfiesTheorem1Premise to test the premise separately.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	const tol = 1e-9
 	if math.Abs(c.Delta+c.Beta-1) > tol {
 		return fmt.Errorf("reward: δ+β = %g, want 1", c.Delta+c.Beta)
@@ -129,7 +129,7 @@ func (c Config) Validate() error {
 // SatisfiesTheorem1Premise reports whether w1 > w2, the premise of the
 // Case II argument in Theorem 1's proof. Configurations violating it are
 // legal to run (the robustness study does) but lose the split guarantee.
-func (c Config) SatisfiesTheorem1Premise() bool {
+func (c *Config) SatisfiesTheorem1Premise() bool {
 	if len(c.Weights.Category) > 0 {
 		return true
 	}
@@ -170,7 +170,7 @@ type Transition struct {
 // never passes, so adding an item that covers nothing new is always
 // invalid — the paper's elimination of "items that are poor in topic
 // coverage".
-func (c Config) R1(coverageGain, idealSize int) float64 {
+func (c *Config) R1(coverageGain, idealSize int) float64 {
 	if c.Epsilon >= 1 {
 		if float64(coverageGain) >= c.Epsilon {
 			return 1
@@ -190,7 +190,7 @@ func (c Config) R1(coverageGain, idealSize int) float64 {
 }
 
 // R2 evaluates Equation 4 extended with the trip theme-gap rule.
-func (c Config) R2(prereqOK, themeOK bool) float64 {
+func (c *Config) R2(prereqOK, themeOK bool) float64 {
 	if prereqOK && themeOK {
 		return 1
 	}
@@ -198,17 +198,24 @@ func (c Config) R2(prereqOK, themeOK bool) float64 {
 }
 
 // Theta evaluates Equation 5: θ = r1 · r2.
-func (c Config) Theta(tr Transition) float64 {
+func (c *Config) Theta(tr Transition) float64 {
 	return c.R1(tr.CoverageGain, tr.IdealSize) * c.R2(tr.PrereqOK, tr.ThemeOK)
 }
 
 // Reward evaluates Equation 2 for one transition.
-func (c Config) Reward(tr Transition) float64 {
+func (c *Config) Reward(tr Transition) float64 {
 	theta := c.Theta(tr)
 	if theta == 0 && !c.SoftGate {
 		return 0
 	}
-	sim := seqsim.Aggregate(c.Sim, tr.SeqTypes, c.Template)
+	return c.RewardWithSim(tr, theta, seqsim.Aggregate(c.Sim, tr.SeqTypes, c.Template))
+}
+
+// RewardWithSim evaluates Equation 2 from an already computed gate
+// θ = Theta(tr) and similarity Sim_agg(tr.SeqTypes, IT), without reading
+// tr.SeqTypes — for callers that share one similarity across many
+// transitions with the same resulting type sequence.
+func (c *Config) RewardWithSim(tr Transition, theta, sim float64) float64 {
 	w := c.Weights.Of(tr.Type, tr.Category)
 	if c.PopularityScale && tr.Popularity > 0 {
 		w *= tr.Popularity / 5

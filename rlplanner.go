@@ -221,10 +221,9 @@ type Options struct {
 	// parallel protocol — bit-identical results for every worker count,
 	// so the knob only changes throughput, never the learned policy.
 	TrainWorkers int
-	// DistMatrixMax bounds the catalog size that precomputes an exact
+	// DistMatrixMax bounds the catalog size that precomputes the float32
 	// n×n distance matrix (0 = geo.DefaultDistMatrixMaxItems, 1024);
-	// larger trip catalogs use exact per-call Haversine up to 4096 items
-	// and a quantized top-K neighbor store beyond.
+	// larger trip catalogs compute exact Haversine per leg.
 	DistMatrixMax int
 	// DenseQMax bounds the catalog size that allocates a dense n×n Q
 	// table (0 = qtable.DefaultDenseMaxItems, 4096); larger catalogs
