@@ -55,10 +55,13 @@ func (s *Server) trainOrDerive(ctx context.Context, inst *rlplanner.Instance, en
 // policy trained on a *different* catalog (fingerprint near-miss) and
 // returns it when within deriveMaxDistance. Same-fingerprint policies
 // are skipped: a request for the same catalog under different options
-// is a cold-key decision, not a catalog change.
+// is a cold-key decision, not a catalog change. Sources at equal
+// distance resolve to the smallest cache key, so the choice does not
+// depend on the store's per-process iteration order.
 func (s *Server) nearestSource(inst *rlplanner.Instance, engineName string) *rlplanner.Policy {
 	targetFP := inst.Fingerprint()
 	var best *rlplanner.Policy
+	var bestKey string
 	bestDist := deriveMaxDistance
 	for _, key := range s.policies.Keys() {
 		pol, ok := s.policies.Cached(key)
@@ -66,10 +69,10 @@ func (s *Server) nearestSource(inst *rlplanner.Instance, engineName string) *rlp
 			continue
 		}
 		d, err := pol.MatchDistance(inst)
-		if err != nil || d > bestDist {
+		if err != nil || d > bestDist || (d == bestDist && best != nil && key > bestKey) {
 			continue
 		}
-		best, bestDist = pol, d
+		best, bestKey, bestDist = pol, key, d
 	}
 	return best
 }

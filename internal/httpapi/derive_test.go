@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"net/http/httptest"
 	"net/url"
 	"strings"
@@ -95,6 +96,42 @@ func TestDeriveEndpoint(t *testing.T) {
 
 	if code := doJSON(t, "POST", ts.URL+"/api/policies/nope/derive", target, &struct{}{}); code != 404 {
 		t.Fatalf("unknown source policy status %d", code)
+	}
+}
+
+// TestNearestSourceTieBreaksBySmallestKey pins the warm-start source
+// choice: two cached policies at the same distance from the target
+// catalog resolve to the smaller cache key whatever order they were
+// cached in, on single-shard and sharded stores alike.
+func TestNearestSourceTieBreaksBySmallestKey(t *testing.T) {
+	orig, err := rlplanner.InstanceByName("Univ-1 M.S. DS-CT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := rlplanner.NewInstance(perturbSpec(t, orig, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same catalog, different seeds: equal distance, different policies.
+	var sources []*rlplanner.Policy
+	for _, seed := range []int64{1, 2} {
+		pol, err := rlplanner.Train(context.Background(), orig, "sarsa", rlplanner.Options{Episodes: 30, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, pol)
+	}
+	keys := []string{"source-a", "source-b"}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		for _, cacheSize := range []int{8, 0} {
+			s := New(WithPolicyCacheSize(cacheSize))
+			for _, i := range order {
+				s.policies.Add(keys[i], sources[i])
+			}
+			if got := s.nearestSource(target, "sarsa"); got != sources[0] {
+				t.Fatalf("insert order %v, cache size %d: nearest source is not %q", order, cacheSize, keys[0])
+			}
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func (t *Table) Merge(d *Delta, alpha float64) {
 		}
 		return
 	}
-	// Sparse form: identical arithmetic per op against the visited-cell
+	// The sparse form: identical arithmetic per op against the visited-cell
 	// rows — the merge order alone determines the result, exactly as in
 	// the dense replay, so parallel training stays bit-identical across
 	// representations of the same values.

@@ -34,8 +34,8 @@ const (
 //
 // An Overlay is NOT safe for concurrent use: one overlay belongs to one
 // user, and the per-user store serializes access with a per-entry lock.
-// The base it wraps must be frozen (Table, Sparse or Compiled after
-// training), exactly as the serving layer already guarantees.
+// The base it wraps must be frozen: the policy's trained Table, which
+// the serving layer never mutates after training.
 type Overlay struct {
 	base     Reader
 	n        int
@@ -107,14 +107,6 @@ func (o *Overlay) Get(s, e int) float64 {
 	return o.base.Get(s, e)
 }
 
-// HasRow reports whether state s carries any overlay cells — the
-// serving walk's branch between the compiled fast path (unshadowed
-// rows) and the masked merged scan (shadowed ones).
-func (o *Overlay) HasRow(s int) bool {
-	_, ok := o.rows[int32(s)]
-	return ok
-}
-
 // Set shadows Q(s, e) = v, copying the cell into the overlay without
 // touching the base (copy-on-write). Storing may evict older rows to
 // respect the cell cap; the row being written is never evicted.
@@ -153,32 +145,10 @@ func (o *Overlay) evict() {
 	}
 }
 
-// ArgMax returns the allowed action maximizing the layered Q(s, ·),
-// ties to the lowest index. Unshadowed rows delegate to the base
-// unchanged — over a Compiled base that is the prefix walk, so a user
-// with feedback on a handful of states still serves every other state
-// at the compiled fast-path cost.
-func (o *Overlay) ArgMax(s int, allowed func(e int) bool) (int, bool) {
-	if o.n == 0 {
-		return -1, false
-	}
-	o.check(s, 0)
-	r := o.row(s, true)
-	if r == nil {
-		return o.base.ArgMax(s, allowed)
-	}
-	return scanArgMax(o.n, func(a int) float64 {
-		if v, ok := r.cells[int32(a)]; ok {
-			return v
-		}
-		return o.base.Get(s, a)
-	}, allowed)
-}
-
 // AppendArgMaxTies appends every allowed action tied for the layered
-// maximum in ascending index order — the same strict q-desc/index-asc
-// contract as every other Reader. Only shadowed rows pay the masked
-// merged scan; the rest delegate to the base.
+// maximum in ascending index order — the same contract as Table.
+// Only shadowed rows pay the merged scan; the rest delegate to the
+// base.
 func (o *Overlay) AppendArgMaxTies(s int, allowed func(e int) bool, buf []int) []int {
 	if o.n == 0 {
 		return buf

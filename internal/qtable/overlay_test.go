@@ -34,6 +34,16 @@ func TestOverlayReadsThroughToBase(t *testing.T) {
 	}
 }
 
+// argMax returns the lowest-index action tied for r's maximum under
+// the mask.
+func argMax(r Reader, s int, allowed func(int) bool) (int, bool) {
+	ties := r.AppendArgMaxTies(s, allowed, nil)
+	if len(ties) == 0 {
+		return -1, false
+	}
+	return ties[0], true
+}
+
 func TestOverlayArgMaxMergesLayers(t *testing.T) {
 	base := New(3)
 	base.Set(0, 0, 1)
@@ -41,16 +51,16 @@ func TestOverlayArgMaxMergesLayers(t *testing.T) {
 	o := NewOverlay(base, 0)
 	// Promote action 1 above the base's best.
 	o.Set(0, 1, 7)
-	if e, ok := o.ArgMax(0, nil); !ok || e != 1 {
+	if e, ok := argMax(o, 0, nil); !ok || e != 1 {
 		t.Fatalf("ArgMax = %d,%v want 1", e, ok)
 	}
 	// Demote it below everything: base order resurfaces under the merge.
 	o.Set(0, 1, -7)
-	if e, ok := o.ArgMax(0, nil); !ok || e != 2 {
+	if e, ok := argMax(o, 0, nil); !ok || e != 2 {
 		t.Fatalf("ArgMax after demotion = %d,%v want 2", e, ok)
 	}
 	// Mask away the winner.
-	if e, ok := o.ArgMax(0, func(a int) bool { return a != 2 }); !ok || e != 0 {
+	if e, ok := argMax(o, 0, func(a int) bool { return a != 2 }); !ok || e != 0 {
 		t.Fatalf("masked ArgMax = %d,%v want 0", e, ok)
 	}
 	// Shadow a tie with the base's best: ties resolve to the lowest index.
@@ -60,9 +70,15 @@ func TestOverlayArgMaxMergesLayers(t *testing.T) {
 		t.Fatalf("ties = %v", ties)
 	}
 	// Rows without overlay cells delegate to the base untouched.
-	if e, ok := o.ArgMax(1, nil); !ok || e != 0 {
+	if e, ok := argMax(o, 1, nil); !ok || e != 0 {
 		t.Fatalf("unshadowed row ArgMax = %d,%v", e, ok)
 	}
+}
+
+// hasRow reports whether state s carries overlay cells.
+func hasRow(o *Overlay, s int) bool {
+	_, ok := o.rows[int32(s)]
+	return ok
 }
 
 func TestOverlayEviction(t *testing.T) {
@@ -81,10 +97,10 @@ func TestOverlayEviction(t *testing.T) {
 	if o.Evictions() != 1 {
 		t.Fatalf("evictions = %d, want 1", o.Evictions())
 	}
-	if o.HasRow(1) {
+	if hasRow(o, 1) {
 		t.Fatal("LRU row 1 survived eviction")
 	}
-	if !o.HasRow(0) || !o.HasRow(4) {
+	if !hasRow(o, 0) || !hasRow(o, 4) {
 		t.Fatal("recently touched rows were evicted")
 	}
 	// Evicted cells fall back to the base.
@@ -103,7 +119,7 @@ func TestOverlayEviction(t *testing.T) {
 		t.Fatal("SizeBytes not positive for non-empty overlay")
 	}
 	big.Reset()
-	if big.Cells() != 0 || big.RowCount() != 0 || big.HasRow(3) {
+	if big.Cells() != 0 || big.RowCount() != 0 || hasRow(big, 3) {
 		t.Fatal("Reset left state behind")
 	}
 }
@@ -176,7 +192,7 @@ func TestOverlayPanics(t *testing.T) {
 }
 
 // BenchmarkOverlayArgMax contrasts the unshadowed delegation path
-// (compiled walk cost) with the shadowed merged scan.
+// (the base table's own scan) with the shadowed merged scan.
 func BenchmarkOverlayArgMax(b *testing.B) {
 	const n = 256
 	base := New(n)
@@ -186,24 +202,24 @@ func BenchmarkOverlayArgMax(b *testing.B) {
 			base.Set(s, e, rng.NormFloat64())
 		}
 	}
-	compiled := Compile(base, 0)
 	mask := func(e int) bool { return e%7 != 0 }
+	buf := make([]int, 0, n)
 	b.Run("unshadowed", func(b *testing.B) {
-		o := NewOverlay(compiled, 0)
+		o := NewOverlay(base, 0)
 		o.Set(0, 0, 1) // some overlay content, but not on the probed rows
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			o.ArgMax(1+i%(n-1), mask)
+			buf = o.AppendArgMaxTies(1+i%(n-1), mask, buf[:0])
 		}
 	})
 	b.Run("shadowed", func(b *testing.B) {
-		o := NewOverlay(compiled, 0)
+		o := NewOverlay(base, 0)
 		for s := 0; s < n; s++ {
 			o.Set(s, s, 1)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			o.ArgMax(i%n, mask)
+			buf = o.AppendArgMaxTies(i%n, mask, buf[:0])
 		}
 	})
 }

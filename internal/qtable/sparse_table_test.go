@@ -191,10 +191,6 @@ func TestSparseMemoryFollowsVisitedSet(t *testing.T) {
 	if got := q.MemoryBytes(); got > denseBytes/100 {
 		t.Fatalf("MemoryBytes = %d, want well under 1%% of dense %d", got, denseBytes)
 	}
-	tr := NewTiered(q)
-	if got := tr.MemoryBytes(); got > denseBytes/100 {
-		t.Fatalf("Tiered.MemoryBytes = %d, want well under 1%% of dense %d", got, denseBytes)
-	}
 }
 
 // TestNewSelectsRepresentation pins the constructor thresholds,

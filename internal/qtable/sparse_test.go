@@ -6,31 +6,37 @@ import (
 	"testing/quick"
 )
 
+// The tests below drive the sparse (open-addressed row) form of Table
+// directly, at sizes small enough to cross-check against the dense form.
+
 func TestSparseBasics(t *testing.T) {
-	q := NewSparse(4)
-	if q.Size() != 4 || q.Entries() != 0 {
-		t.Fatalf("fresh sparse: size=%d entries=%d", q.Size(), q.Entries())
+	q := newSparseTable(4)
+	if q.Size() != 4 || q.Stored() != 0 {
+		t.Fatalf("fresh sparse: size=%d stored=%d", q.Size(), q.Stored())
 	}
 	q.Set(1, 2, 3.5)
 	if q.Get(1, 2) != 3.5 || q.Get(2, 1) != 0 {
 		t.Fatal("Get/Set mismatch")
 	}
-	if q.Entries() != 1 {
-		t.Fatalf("entries = %d", q.Entries())
+	if q.Stored() != 1 {
+		t.Fatalf("stored = %d", q.Stored())
 	}
-	// Writing zero removes the entry.
+	// Writing zero to an absent cell stores nothing; over a stored cell
+	// it reads back as 0.
+	q.Set(3, 3, 0)
 	q.Set(1, 2, 0)
-	if q.Entries() != 0 {
-		t.Fatal("zero write kept the entry")
+	if q.Stored() != 1 || q.Get(1, 2) != 0 || q.Get(3, 3) != 0 {
+		t.Fatalf("zero writes: stored=%d", q.Stored())
 	}
 }
 
 func TestSparsePanics(t *testing.T) {
-	q := NewSparse(3)
+	q := newSparseTable(3)
 	for _, fn := range []func(){
 		func() { q.Get(3, 0) },
 		func() { q.Set(0, -1, 1) },
-		func() { NewSparse(-1) },
+		func() { q.Update(0, 0, 0.5, 1, 0.9, 3, 0) },
+		func() { NewWithDenseMax(-1, 1) },
 	} {
 		func() {
 			defer func() {
@@ -50,7 +56,7 @@ func TestSparseMatchesDenseUpdates(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(10)
 		dense := New(n)
-		sparse := NewSparse(n)
+		sparse := newSparseTable(n)
 		for op := 0; op < 60; op++ {
 			s, e := rng.Intn(n), rng.Intn(n)
 			switch rng.Intn(3) {
@@ -93,8 +99,8 @@ func TestSparseMatchesDenseUpdates(t *testing.T) {
 }
 
 func TestSparseArgMaxMatchesDense(t *testing.T) {
-	// Dedicated ArgMax equivalence: the stored-row scan must agree with
-	// Table.ArgMax everywhere, including the cases the fast path special-
+	// Dedicated ArgMax equivalence: the sparse form's stored-row scan
+	// must agree with the dense scan everywhere, including the cases the fast path special-
 	// cases — all-negative rows (where an absent entry's implicit 0 wins),
 	// exact positive ties (lowest index wins), fully-populated rows and
 	// restrictive masks.
@@ -102,7 +108,7 @@ func TestSparseArgMaxMatchesDense(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(12)
 		dense := New(n)
-		sparse := NewSparse(n)
+		sparse := newSparseTable(n)
 		// Values from a small discrete set force frequent exact ties; the
 		// negative-leaning mix exercises the absent-beats-stored path.
 		vals := []float64{-2, -1, -0.5, 0.5, 1, 2}
@@ -142,18 +148,8 @@ func TestSparseArgMaxMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSparseToDense(t *testing.T) {
-	q := NewSparse(5)
-	q.Set(0, 4, 2)
-	q.Set(3, 1, -1)
-	d := q.ToDense()
-	if d.Get(0, 4) != 2 || d.Get(3, 1) != -1 || d.Get(1, 1) != 0 {
-		t.Fatal("ToDense mismatch")
-	}
-}
-
 func BenchmarkSparseUpdate(b *testing.B) {
-	q := NewSparse(1216)
+	q := newSparseTable(1216)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Update(i%1216, (i+1)%1216, 0.75, 1, 0.95, (i+2)%1216, (i+3)%1216)
@@ -173,7 +169,7 @@ func BenchmarkAblationQStorage(b *testing.B) {
 		}
 	})
 	b.Run("sparse", func(b *testing.B) {
-		q := NewSparse(n)
+		q := newSparseTable(n)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			q.Update(i%n, (i+7)%n, 0.75, 1, 0.95, (i+7)%n, (i+13)%n)

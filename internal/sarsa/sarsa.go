@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"github.com/rlplanner/rlplanner/internal/constraints"
 	"github.com/rlplanner/rlplanner/internal/item"
@@ -169,38 +168,15 @@ func (c Config) explore() float64 {
 // indices refer to, so it can be persisted and transferred across catalogs.
 //
 // After training completes, a Policy is immutable: the recommendation
-// walk compiles the Q table into per-state Q-descending action orders
-// (see qtable.Compiled) and caches them, so Q must not be mutated once
-// any recommendation method or Compiled has been called. Relearning and
-// feedback adaptation produce a new Policy rather than updating one in
-// place.
+// walks read Q directly, from any number of goroutines, so Q must not
+// be mutated once the policy serves. Relearning and feedback adaptation
+// produce a new Policy (or a per-user qtable.Overlay over Q) rather than
+// updating one in place.
 type Policy struct {
 	// Q is the learned action-value table.
 	Q *qtable.Table
 	// IDs aligns Q's indices with item ids of the learning catalog.
 	IDs []string
-
-	compileOnce sync.Once
-	compiled    qtable.Reader
-}
-
-// Compiled returns the policy's serve-time read structure, building it
-// on first use: the compiled action order (top-K eager prefix plus lazy
-// full tail) for a dense-backed table, the tiered walk (sorted stored
-// cells plus Bloom-gated zero class) for a sparse-backed one — the
-// latter builds in O(stored) where Compile would scan n² cells. The
-// engine layer calls this at train/artifact-load time so the first
-// user request never pays the build; direct constructors (tests,
-// transfer) get it lazily. Safe for concurrent use.
-func (p *Policy) Compiled() qtable.Reader {
-	p.compileOnce.Do(func() {
-		if p.Q.IsDense() {
-			p.compiled = qtable.Compile(p.Q, qtable.DefaultTopK)
-		} else {
-			p.compiled = qtable.NewTiered(p.Q)
-		}
-	})
-	return p.compiled
 }
 
 // Result reports what a learning run produced.
@@ -495,11 +471,10 @@ func (p *Policy) RecommendGuided(env *mdp.Env, start int) ([]int, error) {
 }
 
 // RecommendGuidedOver is RecommendGuided reading every action value
-// through r instead of the policy's own compiled table — the layered
-// serving entry point. Passing an overlay whose base is this policy's
-// Compiled() keeps unshadowed states on the compiled walk; passing nil
-// (or the compiled table itself) is exactly RecommendGuided, bit for
-// bit. r must cover the environment's catalog size.
+// through r instead of the policy's own table — the layered serving
+// entry point, where r is a per-user overlay over Q. Passing nil (or Q
+// itself) is exactly RecommendGuided, bit for bit. r must cover the
+// environment's catalog size.
 func (p *Policy) RecommendGuidedOver(env *mdp.Env, start int, r qtable.Reader) ([]int, error) {
 	return p.recommend(env, start, true, r)
 }
@@ -509,7 +484,7 @@ func (p *Policy) recommend(env *mdp.Env, start int, guided bool, r qtable.Reader
 		return nil, err
 	}
 	if r == nil {
-		r = p.Compiled()
+		r = p.Q
 	} else if r.Size() != env.NumItems() {
 		return nil, fmt.Errorf("sarsa: reader over %d items applied to catalog of %d",
 			r.Size(), env.NumItems())
@@ -561,7 +536,7 @@ func (p *Policy) NextGuided(env *mdp.Env, ep *mdp.Episode, exclude func(int) boo
 		return -1, false
 	}
 	var sc walkScratch
-	return p.nextAction(env, ep, true, exclude, &sc, p.Compiled())
+	return p.nextAction(env, ep, true, exclude, &sc, p.Q)
 }
 
 // guidedMask builds the split/budget pacing filter of the guided walk for
@@ -621,8 +596,8 @@ func guidedMask(env *mdp.Env, ep *mdp.Episode) func(int) bool {
 }
 
 // nextAction picks one action for the episode's current state, reading
-// action values through r — the policy's compiled order on the default
-// path, or a per-user overlay layered over it on the personalized one.
+// action values through r — the policy's own table on the default path,
+// or a per-user overlay layered over it on the personalized one.
 func (p *Policy) nextAction(env *mdp.Env, ep *mdp.Episode, guided bool, exclude func(int) bool, sc *walkScratch, r qtable.Reader) (int, bool) {
 	s := ep.Last()
 	allowed := func(a int) bool {
@@ -632,11 +607,7 @@ func (p *Policy) nextAction(env *mdp.Env, ep *mdp.Episode, guided bool, exclude 
 	// argmax picks the highest-Q action under a mask, breaking Q ties by
 	// immediate Equation 2 reward and then by index. Tie-breaking matters:
 	// states the training episodes never reached have all-zero Q rows, and
-	// there the immediate reward is the only signal. The compiled order
-	// walks candidates by descending Q and stops at the end of the first
-	// allowed tie run — identical ties (same values, same ascending
-	// order) to the masked ArgMaxTies scan it replaces, without visiting
-	// all n actions.
+	// there the immediate reward is the only signal.
 	argmax := func(mask func(int) bool) (int, bool) {
 		sc.ties = r.AppendArgMaxTies(s, mask, sc.ties[:0])
 		ties := sc.ties
